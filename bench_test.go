@@ -92,51 +92,7 @@ func BenchmarkFig5Reduce(b *testing.B)    { benchPanel(b, workload.Reduce) }
 func BenchmarkFig5Flood(b *testing.B)     { benchPanel(b, workload.Flood) }
 func BenchmarkFig5Sweep3D(b *testing.B)   { benchPanel(b, workload.Sweep3D) }
 
-// Engine benchmarks: the incremental waterfill against the reference
-// full recompute (Options.ExactRecompute) on the epoch-heavy regimes at
-// n=4096, NestGHC (2,4). RelEpsilon is left at zero so every completion
-// epoch recomputes rates — the regime whose epoch throughput the
-// incremental engine exists to raise — and AllReduce uses random
-// placement, which breaks the rate symmetry that would otherwise batch
-// thousands of completions into a handful of epochs. The reported
-// epochs/sec is the rate-recomputation throughput; compare the
-// Incremental and Reference variants of each pair.
-
 const engineBenchEndpoints = 4096
-
-func benchEngine(b *testing.B, w mtier.WorkloadKind, pol mtier.PlacePolicy, exact bool) {
-	top, err := mtier.Build(mtier.TopoSpec{
-		Kind: mtier.NestGHC, Endpoints: engineBenchEndpoints, T: 2, U: 4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec, err := mtier.GenerateWorkload(w, mtier.WorkloadParams{
-		Tasks: engineBenchEndpoints, MsgBytes: 1e6, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mapped, err := mtier.Place(spec, pol, engineBenchEndpoints, top.NumEndpoints(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := mtier.SimOptions{
-		LatencyBase:    core.DefaultLatencyBase,
-		LatencyPerHop:  core.DefaultLatencyPerHop,
-		ExactRecompute: exact,
-	}
-	b.ResetTimer()
-	epochs := 0
-	for i := 0; i < b.N; i++ {
-		res, err := mtier.Simulate(top, mapped, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		epochs += res.Epochs
-	}
-	b.ReportMetric(float64(epochs)/b.Elapsed().Seconds(), "epochs/sec")
-}
 
 // Preset-regime pair: the same simulation under the experiment presets
 // the paper sweeps actually run (RelEpsilon 0.01, RefreshFraction 1/16,
@@ -184,19 +140,3 @@ func benchEnginePreset(b *testing.B, workers int) {
 
 func BenchmarkEnginePresetAllReduceSerial(b *testing.B)   { benchEnginePreset(b, 1) }
 func BenchmarkEnginePresetAllReduceParallel(b *testing.B) { benchEnginePreset(b, 0) }
-
-func BenchmarkEngineAllReduceIncremental(b *testing.B) {
-	benchEngine(b, mtier.AllReduce, mtier.PlaceRandom, false)
-}
-
-func BenchmarkEngineAllReduceReference(b *testing.B) {
-	benchEngine(b, mtier.AllReduce, mtier.PlaceRandom, true)
-}
-
-func BenchmarkEngineUnstructuredAppIncremental(b *testing.B) {
-	benchEngine(b, mtier.UnstructuredApp, mtier.PlaceLinear, false)
-}
-
-func BenchmarkEngineUnstructuredAppReference(b *testing.B) {
-	benchEngine(b, mtier.UnstructuredApp, mtier.PlaceLinear, true)
-}

@@ -28,7 +28,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -38,7 +37,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"mtier/internal/core"
 	"mtier/internal/dispatch"
@@ -66,7 +64,6 @@ func main() {
 		eps         = flag.Float64("eps", 0.01, "completion batching window")
 		cellWorkers = flag.Int("cellworkers", 0, "parallel cells (0 = NumCPU)")
 		workers     = flag.Int("workers", 1, "intra-run worker threads per cell; results are identical for every value (0 = GOMAXPROCS)")
-		simWorkers  = flag.Int("simworkers", 1, "deprecated alias of -workers")
 		csv         = flag.Bool("csv", false, "emit CSV")
 		progress    = flag.Bool("progress", true, "render a live progress line on stderr")
 		records     = flag.String("records", "", "append one JSON run record per cell to this file (JSONL)")
@@ -83,12 +80,8 @@ func main() {
 	disp := dispatch.AddCLIFlags(flag.CommandLine)
 	flag.Parse()
 
-	simW, err := core.ResolveSimWorkers("mtfault", flag.CommandLine, *workers, *simWorkers, os.Stderr)
-	if err != nil {
-		die(err)
-	}
 	if disp.WorkerMode() {
-		os.Exit(disp.RunWorkerMain("mtfault", simW))
+		os.Exit(disp.RunWorkerMain("mtfault", *workers))
 	}
 	w, err := workload.ParseKind(*wName)
 	if err != nil {
@@ -121,7 +114,7 @@ func main() {
 	if err := runner.Validate(); err != nil {
 		die(err)
 	}
-	journal, err := openJournal(*journalPath, *resumePath)
+	journal, err := core.JournalFromFlags("mtfault", *journalPath, *resumePath, os.Stderr)
 	if err != nil {
 		die(err)
 	}
@@ -149,7 +142,7 @@ func main() {
 		Clusters:  *clusters,
 		Workload:  w,
 		Params:    workload.Params{Tasks: *tasks, Seed: *seed, MsgBytes: *msg},
-		Sim:       flow.Options{RelEpsilon: *eps, Workers: simW, Metrics: metrics},
+		Sim:       flow.Options{RelEpsilon: *eps, Workers: *workers, Metrics: metrics},
 		Workers:   *cellWorkers,
 		Runner:    runner,
 		Journal:   journal,
@@ -161,7 +154,7 @@ func main() {
 		case disp.Dir == "":
 			die(fmt.Errorf("-workers-exec needs -dispatch-dir for the lease ledger and per-worker journals"))
 		}
-		code := faultDispatch(ctx, disp, specs, fracs, simW, *csv, *progress, *records, *fpr, srv, metrics, degOpt)
+		code := faultDispatch(ctx, disp, specs, fracs, *workers, *csv, *progress, *records, *fpr, srv, metrics, degOpt)
 		stop()
 		os.Exit(code)
 	}
@@ -182,27 +175,6 @@ func main() {
 			os.Exit(core.SignalExitCode)
 		}
 		die(err)
-	}
-}
-
-// openJournal resolves the -journal/-resume pair: -journal starts a
-// fresh checkpoint file, -resume loads an existing one (rejecting
-// unreadable or corrupt files up front) and keeps appending to it.
-func openJournal(journalPath, resumePath string) (*core.Journal, error) {
-	switch {
-	case journalPath != "" && resumePath != "":
-		return nil, fmt.Errorf("-journal and -resume are mutually exclusive: -resume already appends to the journal it loads")
-	case resumePath != "":
-		j, err := core.OpenJournal(resumePath)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "mtfault: resuming from %s (%d cell(s) already completed)\n", resumePath, j.Len())
-		return j, nil
-	case journalPath != "":
-		return core.CreateJournal(journalPath)
-	default:
-		return nil, nil
 	}
 }
 
@@ -256,7 +228,7 @@ func parseFractions(list string) ([]float64, error) {
 	return out, nil
 }
 
-func run(ctx context.Context, specs []core.TopoSpec, fracs []float64, csv, progress bool, records string, fpr bool, srv *obs.Server, opt core.DegradationOptions) error {
+func run(ctx context.Context, specs []core.TopoSpec, fracs []float64, csv, progress bool, records string, fpr bool, srv *obs.Server, opt core.DegradationOptions) (err error) {
 	var meter *obs.ProgressMeter
 	nFracs := len(fracs)
 	hasZero := false
@@ -279,23 +251,15 @@ func run(ctx context.Context, specs []core.TopoSpec, fracs []float64, csv, progr
 		srv.SetProgress(meter)
 	}
 
-	var recMu sync.Mutex
-	var recW *bufio.Writer
-	if records != "" {
-		f, err := os.Create(records)
-		if err != nil {
-			return err
-		}
-		recW = bufio.NewWriter(f)
-		defer func() {
-			if err := recW.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "mtfault: flushing records:", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "mtfault: closing records:", err)
-			}
-		}()
+	sink, err := obs.CreateRecordSink(records)
+	if err != nil {
+		return err
 	}
+	defer func() {
+		if cerr := sink.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("writing records: %w", cerr)
+		}
+	}()
 
 	opt.OnCell = func(spec core.TopoSpec, fraction float64, res *core.RunResult, cached bool) {
 		label := fmt.Sprintf("%s @%g%%", spec.Kind, fraction*100)
@@ -304,17 +268,7 @@ func run(ctx context.Context, specs []core.TopoSpec, fracs []float64, csv, progr
 		} else {
 			meter.Step(label)
 		}
-		if recW != nil {
-			line, err := res.Record().MarshalLine()
-			recMu.Lock()
-			defer recMu.Unlock()
-			if err == nil {
-				_, err = recW.Write(line)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "\nmtfault: writing record:", err)
-			}
-		}
+		sink.Append(res.Record())
 	}
 
 	rep, err := core.DegradationSweepContext(ctx, specs, fracs, opt)

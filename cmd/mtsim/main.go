@@ -50,7 +50,6 @@ func main() {
 		bw       = flag.Float64("bw", flow.DefaultBandwidth, "link bandwidth in bytes/s")
 		noPorts  = flag.Bool("noports", false, "disable injection/ejection port model")
 		adaptive = flag.Bool("adaptive", false, "least-loaded adaptive routing (multi-path topologies)")
-		exact    = flag.Bool("exact", false, "use the reference full-recompute waterfill instead of the incremental engine")
 		workers  = flag.Int("workers", 0, "intra-run worker threads; results are identical for every value (0 = GOMAXPROCS, 1 = serial)")
 		traceOut = flag.String("trace", "", "write a per-flow completion trace (CSV) to this file")
 		jsonOut  = flag.Bool("json", false, "emit the run record as JSON on stdout instead of text")
@@ -132,7 +131,6 @@ func main() {
 			LatencyPerHop:   *latHop,
 			DisablePorts:    *noPorts,
 			AdaptiveRouting: *adaptive,
-			ExactRecompute:  *exact,
 			Workers:         *workers,
 			HotspotK:        *hotspots,
 			Metrics:         metrics,
@@ -158,32 +156,22 @@ func die(err error) {
 }
 
 func run(ctx context.Context, cfg core.Config, traceOut, epochCSV, traceEvt string, jsonOut, fpOut bool) error {
+	var traceFile *os.File
+	var traceBuf *bufio.Writer
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
+		var err error
+		if traceFile, err = os.Create(traceOut); err != nil {
 			return err
 		}
-		w := bufio.NewWriter(f)
-		fmt.Fprintln(w, "flow,src,dst,bytes,start,end")
-		cfg.Sim.Trace = w
-		defer func() {
-			// Simulate reports mid-run write errors; the final flush error
-			// still needs its own check.
-			if err := w.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "mtsim: flushing trace:", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "mtsim: closing trace:", err)
-			}
-		}()
+		defer traceFile.Close() // error paths only; success closes below
+		traceBuf = bufio.NewWriter(traceFile)
+		fmt.Fprintln(traceBuf, "flow,src,dst,bytes,start,end")
+		cfg.Sim.Trace = traceBuf
 	}
-	var rec *obs.EpochRecorder
-	if epochCSV != "" {
-		rec = obs.NewEpochRecorder(nil)
-		cfg.Sim.Probe = rec
-	}
+	// One flight recorder feeds both the Chrome trace and the epoch
+	// series, which is exported from its per-epoch events.
 	var flight *trace.Recorder
-	if traceEvt != "" {
+	if epochCSV != "" || traceEvt != "" {
 		flight = trace.NewRecorder()
 		cfg.Sim.Tracer = flight
 	}
@@ -192,30 +180,24 @@ func run(ctx context.Context, cfg core.Config, traceOut, epochCSV, traceEvt stri
 	if err != nil {
 		return err
 	}
-	if flight != nil {
-		f, err := os.Create(traceEvt)
-		if err != nil {
-			return err
+	if traceBuf != nil {
+		// Simulate reports mid-run write errors; a trace that fits the
+		// buffer fails only here.
+		if err := traceBuf.Flush(); err != nil {
+			return fmt.Errorf("flushing trace: %w", err)
 		}
-		if err := flight.WriteTraceEvents(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing trace events: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("closing trace events: %w", err)
+		if err := traceFile.Close(); err != nil {
+			return fmt.Errorf("closing trace: %w", err)
 		}
 	}
-	if rec != nil {
-		f, err := os.Create(epochCSV)
-		if err != nil {
-			return err
+	if traceEvt != "" {
+		if err := writeFile(traceEvt, flight.WriteTraceEvents); err != nil {
+			return fmt.Errorf("writing trace events: %w", err)
 		}
-		if err := rec.WriteCSV(f); err != nil {
-			f.Close()
+	}
+	if epochCSV != "" {
+		if err := writeFile(epochCSV, func(w io.Writer) error { return flow.WriteEpochCSV(w, flight) }); err != nil {
 			return fmt.Errorf("writing epoch series: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("closing epoch series: %w", err)
 		}
 	}
 	if fpOut {
@@ -249,6 +231,20 @@ func run(ctx context.Context, cfg core.Config, traceOut, epochCSV, traceEvt stri
 		printHotspots(os.Stdout, res.Result.Hotspots)
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with write, returning the first
+// create, write or close error.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printHotspots renders the hot-spot attribution report: the K hottest

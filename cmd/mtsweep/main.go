@@ -28,7 +28,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -59,14 +58,12 @@ func main() {
 		eps         = flag.Float64("eps", 0.01, "completion batching window")
 		cellWorkers = flag.Int("cellworkers", 0, "parallel cells (0 = NumCPU)")
 		workers     = flag.Int("workers", 1, "intra-run worker threads per cell; results are identical for every value (0 = GOMAXPROCS)")
-		simWorkers  = flag.Int("simworkers", 1, "deprecated alias of -workers")
 		specPath    = flag.String("spec", "", "open-system campaign: run this multi-client workload spec over every topology of the set")
 		allocName   = flag.String("alloc", "firstfit", "allocation policy for -spec campaigns: firstfit|randomfit")
 		shared      = flag.Bool("shared", false, "replay each -spec cell's schedule on a shared fabric")
 		csv         = flag.Bool("csv", false, "emit CSV")
 		progress    = flag.Bool("progress", true, "render a live progress line on stderr")
 		records     = flag.String("records", "", "append one JSON run record per cell to this file (JSONL)")
-		exact       = flag.Bool("exact", false, "use the reference full-recompute waterfill instead of the incremental engine")
 		journalPath = flag.String("journal", "", "checkpoint every completed cell to this JSONL journal (fresh file)")
 		resumePath  = flag.String("resume", "", "resume from this journal: skip already-completed cells and keep appending to it")
 		cellTimeout = flag.Duration("celltimeout", 0, "per-cell deadline (0 = none); timed-out cells are retried")
@@ -88,14 +85,11 @@ func main() {
 	if *material {
 		topoRep = core.RepMaterialized
 	}
-	simW, err := core.ResolveSimWorkers("mtsweep", flag.CommandLine, *workers, *simWorkers, os.Stderr)
-	if err != nil {
-		die(err)
-	}
 	if disp.WorkerMode() {
-		os.Exit(disp.RunWorkerMain("mtsweep", simW))
+		os.Exit(disp.RunWorkerMain("mtsweep", *workers))
 	}
 
+	var err error
 	var kinds []workload.Kind
 	var spec *workload.OpenSpec
 	var alloc sched.AllocPolicy
@@ -147,7 +141,7 @@ func main() {
 	if err := runner.Validate(); err != nil {
 		die(err)
 	}
-	journal, err := openJournal(*journalPath, *resumePath)
+	journal, err := core.JournalFromFlags("mtsweep", *journalPath, *resumePath, os.Stderr)
 	if err != nil {
 		die(err)
 	}
@@ -174,7 +168,7 @@ func main() {
 		Tasks:    *tasks,
 		MsgBytes: *msg,
 		Workers:  *cellWorkers,
-		Sim:      flow.Options{RelEpsilon: *eps, ExactRecompute: *exact, Workers: simW, Metrics: metrics},
+		Sim:      flow.Options{RelEpsilon: *eps, Workers: *workers, Metrics: metrics},
 		Runner:   runner,
 		Journal:  journal,
 	}
@@ -187,7 +181,7 @@ func main() {
 		case disp.Dir == "":
 			die(fmt.Errorf("-workers-exec needs -dispatch-dir for the lease ledger and per-worker journals"))
 		}
-		code := sweepDispatch(ctx, disp, kinds, *n, *cellWorkers, simW, *csv, *progress, *records, *fpr, srv, metrics, panelOpt)
+		code := sweepDispatch(ctx, disp, kinds, *n, *cellWorkers, *workers, *csv, *progress, *records, *fpr, srv, metrics, panelOpt)
 		stop()
 		os.Exit(code)
 	}
@@ -220,33 +214,12 @@ func die(err error) {
 	os.Exit(1)
 }
 
-// openJournal resolves the -journal/-resume pair: -journal starts a
-// fresh checkpoint file, -resume loads an existing one (rejecting
-// unreadable or corrupt files up front) and keeps appending to it.
-func openJournal(journalPath, resumePath string) (*core.Journal, error) {
-	switch {
-	case journalPath != "" && resumePath != "":
-		return nil, fmt.Errorf("-journal and -resume are mutually exclusive: -resume already appends to the journal it loads")
-	case resumePath != "":
-		j, err := core.OpenJournal(resumePath)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "mtsweep: resuming from %s (%d cell(s) already completed)\n", resumePath, j.Len())
-		return j, nil
-	case journalPath != "":
-		return core.CreateJournal(journalPath)
-	default:
-		return nil, nil
-	}
-}
-
 // topoRep is the topology representation for set builds, flipped to
 // RepMaterialized by -materialize. Cell results are bit-identical either
 // way; only build time and memory move.
 var topoRep = core.RepAuto
 
-func sweep(ctx context.Context, kinds []workload.Kind, n, cellWorkers int, csv, progress bool, records string, fpr bool, srv *obs.Server, opt core.PanelOptions) error {
+func sweep(ctx context.Context, kinds []workload.Kind, n, cellWorkers int, csv, progress bool, records string, fpr bool, srv *obs.Server, opt core.PanelOptions) (err error) {
 	start := time.Now()
 	set, err := core.BuildSetRep(ctx, n, cellWorkers, topoRep)
 	if err != nil {
@@ -267,11 +240,11 @@ func sweep(ctx context.Context, kinds []workload.Kind, n, cellWorkers int, csv, 
 		srv.SetProgress(meter)
 	}
 
-	sink, err := openRecordSink(records)
+	sink, err := obs.CreateRecordSink(records)
 	if err != nil {
 		return err
 	}
-	defer sink.Close()
+	defer closeRecords(sink, &err)
 
 	// Per-cell fingerprints keyed by cell identity: cells complete
 	// concurrently, so the digest is assembled in sorted-key order at the
@@ -291,22 +264,12 @@ func sweep(ctx context.Context, kinds []workload.Kind, n, cellWorkers int, csv, 
 			} else {
 				meter.Step(label)
 			}
-			if sink != nil || fpr {
-				line, err := res.Record().MarshalLine()
-				if err == nil && fpr {
-					fp, ferr := res.Record().Fingerprint()
-					if ferr == nil {
-						fpMu.Lock()
-						fps[fmt.Sprintf("%s/%s/%s", w, kind, pt.Label())] = fp
-						fpMu.Unlock()
-					}
-				}
-				if sink != nil {
-					if err == nil {
-						sink.Write(line)
-					} else {
-						fmt.Fprintln(os.Stderr, "\nmtsweep: encoding record:", err)
-					}
+			sink.Append(res.Record())
+			if fpr {
+				if fp, ferr := res.Record().Fingerprint(); ferr == nil {
+					fpMu.Lock()
+					fps[fmt.Sprintf("%s/%s/%s", w, kind, pt.Label())] = fp
+					fpMu.Unlock()
 				}
 			}
 		}
@@ -332,7 +295,7 @@ func sweep(ctx context.Context, kinds []workload.Kind, n, cellWorkers int, csv, 
 // (a pure function of the spec, so every cell schedules the identical
 // arrivals) placed onto every topology of the set — differences between
 // rows are purely architectural.
-func sweepSpec(ctx context.Context, spec *workload.OpenSpec, n int, alloc sched.AllocPolicy, shared, csv, progress bool, records string, fpr bool, srv *obs.Server, opt core.PanelOptions) error {
+func sweepSpec(ctx context.Context, spec *workload.OpenSpec, n int, alloc sched.AllocPolicy, shared, csv, progress bool, records string, fpr bool, srv *obs.Server, opt core.PanelOptions) (err error) {
 	start := time.Now()
 	set, err := core.BuildSetRep(ctx, n, opt.Workers, topoRep)
 	if err != nil {
@@ -350,11 +313,11 @@ func sweepSpec(ctx context.Context, spec *workload.OpenSpec, n int, alloc sched.
 		srv.SetProgress(meter)
 	}
 
-	sink, err := openRecordSink(records)
+	sink, err := obs.CreateRecordSink(records)
 	if err != nil {
 		return err
 	}
-	defer sink.Close()
+	defer closeRecords(sink, &err)
 
 	var fpMu sync.Mutex
 	fps := make(map[string][]byte)
@@ -387,13 +350,7 @@ func sweepSpec(ctx context.Context, spec *workload.OpenSpec, n int, alloc sched.
 					fpMu.Unlock()
 				}
 			}
-			if sink != nil {
-				if line, lerr := rec.MarshalLine(); lerr == nil {
-					sink.Write(line)
-				} else {
-					fmt.Fprintln(os.Stderr, "\nmtsweep: encoding record:", lerr)
-				}
-			}
+			sink.Append(rec)
 		},
 	})
 	if err != nil {
@@ -415,42 +372,11 @@ func sweepSpec(ctx context.Context, spec *workload.OpenSpec, n int, alloc sched.
 	return nil
 }
 
-// recordSink streams one JSON line per completed cell to a JSONL file,
-// serialising concurrent writers. A nil sink discards everything.
-type recordSink struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
-}
-
-func openRecordSink(path string) (*recordSink, error) {
-	if path == "" {
-		return nil, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &recordSink{f: f, w: bufio.NewWriter(f)}, nil
-}
-
-func (s *recordSink) Write(line []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.w.Write(line); err != nil {
-		fmt.Fprintln(os.Stderr, "\nmtsweep: writing record:", err)
-	}
-}
-
-func (s *recordSink) Close() {
-	if s == nil {
-		return
-	}
-	if err := s.w.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, "mtsweep: flushing records:", err)
-	}
-	if err := s.f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "mtsweep: closing records:", err)
+// closeRecords closes the -records sink and, unless the sweep already
+// failed, fails it with the first record the sink lost.
+func closeRecords(sink *obs.RecordSink, err *error) {
+	if cerr := sink.Close(); cerr != nil && *err == nil {
+		*err = fmt.Errorf("writing records: %w", cerr)
 	}
 }
 

@@ -92,6 +92,29 @@ func CreateJournal(path string) (*Journal, error) {
 	return &Journal{f: f, path: path, cache: make(map[string]*RunResult)}, nil
 }
 
+// JournalFromFlags resolves a sweep command's -journal/-resume pair:
+// journalPath starts a fresh journal, resumePath loads an existing one
+// (rejecting unreadable or corrupt files up front), reports on stderr
+// how many cells it already holds, and keeps appending to it. With
+// neither set it returns a nil journal.
+func JournalFromFlags(prog, journalPath, resumePath string, stderr io.Writer) (*Journal, error) {
+	switch {
+	case journalPath != "" && resumePath != "":
+		return nil, fmt.Errorf("-journal and -resume are mutually exclusive: -resume already appends to the journal it loads")
+	case resumePath != "":
+		j, err := OpenJournal(resumePath)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(stderr, "%s: resuming from %s (%d cell(s) already completed)\n", prog, resumePath, j.Len())
+		return j, nil
+	case journalPath != "":
+		return CreateJournal(journalPath)
+	default:
+		return nil, nil
+	}
+}
+
 // journalEntry is one parsed line of a journal file with its provenance,
 // so corruption reports can point at the offending line and byte offset.
 type journalEntry struct {

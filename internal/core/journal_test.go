@@ -109,6 +109,33 @@ func TestJournalRoundTrip(t *testing.T) {
 // TestJournalTruncatedTail: a partial final line — the remnant of a crash
 // mid-append — is discarded and truncated away, and the journal keeps
 // accepting appends from where the last durable record left off.
+// TestJournalFromFlags: -journal creates, -resume reopens and reports
+// what it holds, both at once is refused, neither means no journal.
+func TestJournalFromFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	var stderr bytes.Buffer
+	if j, err := JournalFromFlags("mtsweep", "", "", &stderr); j != nil || err != nil {
+		t.Fatalf("no flags: journal %v, err %v", j, err)
+	}
+	if _, err := JournalFromFlags("mtsweep", path, path, &stderr); err == nil {
+		t.Fatal("-journal with -resume accepted")
+	}
+	j, err := JournalFromFlags("mtsweep", path, "", &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if j, err = JournalFromFlags("mtsweep", "", path, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if want := "mtsweep: resuming from " + path + " (0 cell(s) already completed)\n"; stderr.String() != want {
+		t.Fatalf("stderr %q, want %q", stderr.String(), want)
+	}
+}
+
 func TestJournalTruncatedTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	j, err := CreateJournal(path)

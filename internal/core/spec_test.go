@@ -54,19 +54,3 @@ func TestBuildRejectsInvalidSpecs(t *testing.T) {
 		}
 	}
 }
-
-// TestBuildTopologyCompat pins the historical lenient behaviour: the
-// wrapper drops (t, u) for non-hybrid families instead of erroring, so
-// existing callers that always pass them keep working.
-func TestBuildTopologyCompat(t *testing.T) {
-	top, err := BuildTopology(Torus3D, 64, 2, 4)
-	if err != nil {
-		t.Fatalf("BuildTopology(torus, 64, 2, 4): %v", err)
-	}
-	if top.NumEndpoints() != 64 {
-		t.Fatalf("got %d endpoints, want 64", top.NumEndpoints())
-	}
-	if _, err := BuildTopology(NestGHC, 64, 2, 3); err == nil {
-		t.Fatal("BuildTopology(nestghc, 64, 2, 3): expected invalid-u error")
-	}
-}

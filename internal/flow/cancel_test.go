@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"mtier/internal/obs"
 )
 
 func multiEpochSpec() *Spec {
@@ -55,25 +53,36 @@ func TestSimulateContextPreCanceled(t *testing.T) {
 	}
 }
 
-// TestSimulateContextCancelMidRun: canceling from an epoch probe — a
-// deterministic in-run trigger — aborts at the next epoch boundary.
+// cancelWriter is a per-flow trace writer that cancels the run once it
+// has received n records: a deterministic in-run trigger.
+type cancelWriter struct {
+	n, records int
+	cancel     func()
+}
+
+func (w *cancelWriter) Write(p []byte) (int, error) {
+	w.records++
+	if w.records == w.n {
+		w.cancel()
+	}
+	return len(p), nil
+}
+
+// TestSimulateContextCancelMidRun: canceling from inside the run aborts
+// at the next epoch boundary. multiEpochSpec completes one flow per
+// epoch, so canceling at the second completion record must stop the
+// run before a third flow finishes.
 func TestSimulateContextCancelMidRun(t *testing.T) {
 	tor := ring(t, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	epochs := 0
-	opt := Options{Probe: obs.ProbeFunc(func(obs.EpochSnapshot) {
-		epochs++
-		if epochs == 2 {
-			cancel()
-		}
-	})}
-	_, err := SimulateContext(ctx, tor, multiEpochSpec(), opt)
+	w := &cancelWriter{n: 2, cancel: cancel}
+	_, err := SimulateContext(ctx, tor, multiEpochSpec(), Options{Trace: w})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("errors.Is(err, Canceled) = false: %v", err)
 	}
-	if epochs != 2 {
-		t.Fatalf("run continued for %d epochs after the canceling probe, want exactly 2", epochs)
+	if w.records != 2 {
+		t.Fatalf("run completed %d flows after canceling at the second, want exactly 2", w.records)
 	}
 }
 

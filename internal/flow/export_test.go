@@ -11,3 +11,11 @@ func SetParThresholds(route, fill, scan, sort, batch int) (restore func()) {
 		parRouteMin, parFillMin, parScanMin, parSortMin, parBatchMin = pr, pf, psc, pso, pb
 	}
 }
+
+// WithExactRecompute returns opt with the reference full waterfill
+// selected in place of the incremental engine: the oracle the
+// differential tests compare the default engine against.
+func WithExactRecompute(opt Options) Options {
+	opt.exactRecompute = true
+	return opt
+}

@@ -254,7 +254,7 @@ func TestFaultIncrementalMatchesExact(t *testing.T) {
 		_ = i
 	}
 	run := func(exact bool) *Result {
-		res, err := Simulate(d, spec, Options{ExactRecompute: exact, RecordFlowEnds: true, FaultEvents: events})
+		res, err := Simulate(d, spec, Options{exactRecompute: exact, RecordFlowEnds: true, FaultEvents: events})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func (s *Spec) TotalBytes() float64 {
 
 // Options tunes a simulation run. The zero value is ready to use. The
 // JSON tags define how the options appear inside a run record; the
-// attached writers and probes are process-local and excluded.
+// attached writers and recorders are process-local and excluded.
 type Options struct {
 	// LinkBandwidth is the capacity of every link in bytes/second.
 	// 0 means DefaultBandwidth.
@@ -109,14 +109,6 @@ type Options struct {
 	// makespan. 0 recomputes every epoch (exact); the experiment presets
 	// use 1/16.
 	RefreshFraction float64 `json:"refresh_fraction,omitempty"`
-	// ExactRecompute disables the incremental engine and rebuilds every
-	// touched link's residual capacity, flow count and member list from
-	// scratch at each rate recomputation — the original full waterfill,
-	// kept as the reference implementation and differential-test oracle.
-	// The default (false) maintains per-link state persistently and
-	// re-waterfills only the dirty connected component of each epoch; the
-	// two engines produce bit-identical results (see incremental.go).
-	ExactRecompute bool `json:"exact_recompute,omitempty"`
 	// AdaptiveRouting picks, for each flow at injection time, the
 	// least-loaded of the topology's candidate routes (topologies
 	// implementing topo.MultiRouter; ignored otherwise). Load is the
@@ -144,18 +136,13 @@ type Options struct {
 	// The first write error aborts further records and is returned by
 	// Simulate, so a full disk cannot silently truncate a trace.
 	Trace io.Writer `json:"-"`
-	// Probe, when non-nil, receives one obs.EpochSnapshot per rate
-	// recomputation: the simulated time, active-flow count, tightest
-	// bottleneck link with its fair share, and the recomputation's
-	// wall-clock cost. With a nil probe the instrumentation costs a single
-	// branch per epoch.
-	Probe obs.Probe `json:"-"`
 	// Tracer, when non-nil, receives flight-recorder events: wall-clock
 	// spans around route preparation and every waterfill, per-shard spans
 	// from the worker pool, and sim-time epoch counters, bottleneck and
 	// fault instants. Export with trace.Recorder.WriteTraceEvents (Chrome
-	// trace_event JSON). The sim-domain events are deterministic for a
-	// fixed seed, across repeated runs and across Workers settings.
+	// trace_event JSON) or, for the per-epoch congestion series, with
+	// WriteEpochCSV. The sim-domain events are deterministic for a fixed
+	// seed, across repeated runs and across Workers settings.
 	Tracer *trace.Recorder `json:"-"`
 	// HotspotK, when positive, computes per-link/per-tier hot-spot
 	// attribution into Result.Hotspots: the K hottest topology links by
@@ -176,6 +163,15 @@ type Options struct {
 	// time. Requires a topology that implements Rerouter, such as
 	// fault.Degraded; see fault.go.
 	FaultEvents []FaultEvent `json:"fault_events,omitempty"`
+	// exactRecompute disables the incremental engine and rebuilds every
+	// touched link's residual capacity, flow count and member list from
+	// scratch at each rate recomputation — the original full waterfill,
+	// kept as the reference implementation and differential-test oracle
+	// (set by tests through export_test.go). The default maintains
+	// per-link state persistently and re-waterfills only the dirty
+	// connected component of each epoch; the two engines produce
+	// bit-identical results (see incremental.go).
+	exactRecompute bool
 }
 
 // Validate checks the numeric options for values that would silently
@@ -419,19 +415,11 @@ type sim struct {
 	dirty     bool     // active set gained flows since the last waterfill
 
 	// Incremental engine state (see incremental.go); nil slices when
-	// opt.ExactRecompute selects the reference full waterfill.
+	// opt.exactRecompute selects the reference full waterfill.
 	inc incState
 
-	// Probe state (tracked when opt.Probe or opt.Tracer is attached).
-	probing bool
 	// tracing mirrors opt.Tracer != nil for cheap per-epoch checks.
-	tracing   bool
-	btlLink   int32   // tightest bottleneck link of the last waterfill
-	btlShare  float64 // its per-flow fair share
-	dirtySize int     // dirty seed links consumed by the last waterfill
-	affSize   int     // flows re-waterfilled by the last waterfill
-	fillSize  int     // links re-waterfilled by the last waterfill
-
+	tracing bool
 	// Engine counters (tracked only when opt.Metrics is attached).
 	stats *engineStats
 
@@ -514,7 +502,6 @@ func SimulateContext(ctx context.Context, t topo.Topology, spec *Spec, opt Optio
 		ctx = context.Background()
 	}
 	s := &sim{t: t, opt: opt, cap: opt.LinkBandwidth, flows: spec.Flows,
-		probing: opt.Probe != nil || opt.Tracer != nil,
 		tracing: opt.Tracer != nil,
 		ctx:     ctx, ctxDone: ctx.Done()}
 	s.workers = opt.Workers
@@ -701,7 +688,7 @@ func (s *sim) prepare(spec *Spec) error {
 		s.stamp[i] = -1
 	}
 	s.linkBytes = make([]float64, s.numLinks)
-	if s.opt.ExactRecompute {
+	if s.opt.exactRecompute {
 		s.linkFlows = make([][]int32, s.numLinks)
 	} else {
 		s.inc.init(s.numLinks, f)
@@ -713,7 +700,7 @@ func (s *sim) prepare(spec *Spec) error {
 	// Batch membership maintenance for sharded replay; the incremental
 	// state is only consulted at fill time, so joins and leaves can be
 	// queued until the next flushMembership (fills and fault events).
-	s.batching = s.pool != nil && !s.opt.ExactRecompute
+	s.batching = s.pool != nil && !s.opt.exactRecompute
 	return nil
 }
 
@@ -757,7 +744,7 @@ func (s *sim) activate(id int32, now float64) {
 	if s.starts != nil {
 		s.starts[id] = now
 	}
-	if !s.opt.ExactRecompute {
+	if !s.opt.exactRecompute {
 		if s.batching {
 			s.queueMembership(id, true)
 		} else {
@@ -780,7 +767,7 @@ func (s *sim) deactivate(id int32) {
 	s.activePos[moved] = pos
 	s.active = s.active[:last]
 	s.activePos[id] = -1
-	if !s.opt.ExactRecompute {
+	if !s.opt.exactRecompute {
 		if s.batching {
 			s.queueMembership(id, false)
 		} else {
@@ -794,9 +781,20 @@ func (s *sim) deactivate(id int32) {
 	}
 }
 
+// fillFacts is what one rate recomputation reports to the run's
+// observers (see observeEpoch).
+type fillFacts struct {
+	incremental bool    // a restricted fill of the dirty component
+	dirtyLinks  int     // dirty seed links consumed
+	affected    int     // flows re-waterfilled
+	filled      int     // links re-waterfilled
+	btlLink     int32   // tightest bottleneck frozen; -1 when none
+	btlShare    float64 // its per-flow fair share
+}
+
 // waterfill assigns max-min fair rates to all active flows using
 // progressive filling with a lazy min-heap of link fair shares.
-func (s *sim) waterfill() {
+func (s *sim) waterfill() fillFacts {
 	s.epoch++
 	s.touched = s.touched[:0]
 	for _, f := range s.active {
@@ -821,16 +819,7 @@ func (s *sim) waterfill() {
 
 	frozen := 0
 	target := len(s.active)
-	if s.probing {
-		s.btlLink, s.btlShare = -1, 0
-		s.dirtySize, s.affSize, s.fillSize = 0, target, len(s.touched)
-	}
-	if s.stats != nil {
-		s.stats.epochs.Inc()
-		s.stats.fullFills.Inc()
-		s.stats.affected.Add(int64(target))
-		s.stats.filledLinks.Add(int64(len(s.touched)))
-	}
+	facts := fillFacts{affected: target, filled: len(s.touched), btlLink: -1}
 	for frozen < target && len(s.heap.link) > 0 {
 		share, l := s.heap.pop()
 		if s.count[l] == 0 {
@@ -842,10 +831,10 @@ func (s *sim) waterfill() {
 			s.heap.push(cur, l)
 			continue
 		}
-		if s.probing && s.btlLink < 0 {
+		if facts.btlLink < 0 {
 			// Progressive filling freezes bottlenecks in increasing share
 			// order, so the first one is the tightest of this epoch.
-			s.btlLink, s.btlShare = l, cur
+			facts.btlLink, facts.btlShare = l, cur
 		}
 		// l is a bottleneck: freeze every unfrozen flow crossing it.
 		for _, f := range s.linkFlows[l] {
@@ -864,6 +853,43 @@ func (s *sim) waterfill() {
 			}
 		}
 	}
+	return facts
+}
+
+// observeEpoch is the one place per-epoch facts leave the engine: it
+// feeds a rate recomputation to the engine counters (Options.Metrics)
+// and to the flight recorder (Options.Tracer), from which WriteEpochCSV
+// rebuilds the per-epoch series.
+func (s *sim) observeEpoch(epoch int, now float64, wallStart time.Time, f fillFacts) {
+	if st := s.stats; st != nil {
+		st.epochs.Inc()
+		if f.incremental {
+			st.incFills.Inc()
+		} else {
+			st.fullFills.Inc()
+		}
+		st.dirtyLinks.Add(int64(f.dirtyLinks))
+		st.affected.Add(int64(f.affected))
+		st.filledLinks.Add(int64(f.filled))
+	}
+	if !s.tracing {
+		return
+	}
+	tr := s.opt.Tracer
+	tr.WallSpanSince(evWaterfill, "waterfill", wallStart, 0, map[string]any{"epoch": epoch})
+	tr.SimCounter(evActive, now, map[string]float64{
+		"flows": float64(len(s.active)),
+	})
+	tr.SimCounter(evWaterfill, now, map[string]float64{
+		"affected_flows": float64(f.affected),
+		"dirty_links":    float64(f.dirtyLinks),
+		"filled_links":   float64(f.filled),
+	})
+	tr.SimInstant(evBottleneck, "epoch", now, map[string]any{
+		"epoch": epoch,
+		"link":  f.btlLink,
+		"share": f.btlShare,
+	})
 }
 
 // release decrements the dependency count of id's children, activating the
@@ -1064,50 +1090,19 @@ func (s *sim) run() (*Result, error) {
 		}
 		if needRefresh || float64(completedSince) >= s.opt.RefreshFraction*float64(len(s.active)) {
 			var wallStart time.Time
-			if s.probing {
+			if s.tracing {
 				wallStart = time.Now()
 			}
-			if s.opt.ExactRecompute {
-				s.waterfill()
+			var facts fillFacts
+			if s.opt.exactRecompute {
+				facts = s.waterfill()
 			} else {
-				s.waterfillIncremental()
+				facts = s.waterfillIncremental()
 			}
 			res.Epochs++
 			needRefresh = false
 			completedSince = 0
-			if s.probing {
-				if s.opt.Probe != nil {
-					s.opt.Probe.OnEpoch(obs.EpochSnapshot{
-						Epoch:           res.Epochs,
-						SimTime:         now,
-						ActiveFlows:     len(s.active),
-						BottleneckLink:  s.btlLink,
-						BottleneckShare: s.btlShare,
-						DirtyLinks:      s.dirtySize,
-						AffectedFlows:   s.affSize,
-						FilledLinks:     s.fillSize,
-						WallTime:        time.Since(wallStart),
-					})
-				}
-				if s.tracing {
-					tr := s.opt.Tracer
-					tr.WallSpanSince("flow.waterfill", "waterfill", wallStart, 0,
-						map[string]any{"epoch": res.Epochs})
-					tr.SimCounter("flow.active", now, map[string]float64{
-						"flows": float64(len(s.active)),
-					})
-					tr.SimCounter("flow.waterfill", now, map[string]float64{
-						"affected_flows": float64(s.affSize),
-						"dirty_links":    float64(s.dirtySize),
-						"filled_links":   float64(s.fillSize),
-					})
-					tr.SimInstant("flow.bottleneck", "epoch", now, map[string]any{
-						"epoch": res.Epochs,
-						"link":  s.btlLink,
-						"share": s.btlShare,
-					})
-				}
-			}
+			s.observeEpoch(res.Epochs, now, wallStart, facts)
 		}
 
 		// Earliest completion among active flows.

@@ -338,7 +338,7 @@ func TestWaterfillMaxMin(t *testing.T) {
 		// Odd trials exercise the reference engine, even ones the
 		// incremental engine — both must produce max-min allocations.
 		exact := trial%2 == 1
-		s := &sim{t: tor, opt: Options{ExactRecompute: exact}, cap: DefaultBandwidth, flows: spec.Flows}
+		s := &sim{t: tor, opt: Options{exactRecompute: exact}, cap: DefaultBandwidth, flows: spec.Flows}
 		if err := s.prepare(spec); err != nil {
 			t.Fatal(err)
 		}

@@ -1,5 +1,4 @@
-// The incremental rate-recomputation engine, the default since the
-// introduction of Options.ExactRecompute.
+// The incremental rate-recomputation engine, the default.
 //
 // The reference waterfill (flow.go) rebuilds every touched link's
 // residual capacity, flow count and member list from scratch at each
@@ -29,8 +28,8 @@
 // a single head-to-head comparison for most pops.
 //
 // Bitwise identity with the reference engine is a hard requirement
-// (guarded by the differential tests in internal/core). It follows from
-// four properties:
+// (guarded by the differential tests in differential_test.go). It
+// follows from four properties:
 //
 //  1. The reference heap orders entries by (share, link id) — a strict
 //     total order — so its pop sequence is a pure function of the entry
@@ -280,7 +279,7 @@ func (s *sim) closure(budget int) bool {
 // re-waterfills the dirty connected component (or, when that component
 // covers most of the active set, everything — but from persistent state
 // rather than a rebuild), keeping frozen rates elsewhere.
-func (s *sim) waterfillIncremental() {
+func (s *sim) waterfillIncremental() fillFacts {
 	// Queued joins/leaves (batching mode) must land before the closure
 	// walk reads the membership.
 	s.flushMembership()
@@ -311,31 +310,19 @@ func (s *sim) waterfillIncremental() {
 	}
 	st.dirty = st.dirty[:0]
 
-	var affected, filled int
+	facts := fillFacts{incremental: restricted, dirtyLinks: nDirty}
 	if restricted {
-		affected, filled = len(st.affected), len(st.region)
+		facts.affected, facts.filled = len(st.affected), len(st.region)
 		s.sortIDs(st.region)
-		s.fillSorted(st.region, affected)
+		// The bottleneck is then the tightest of the recomputed region,
+		// not necessarily of the whole network.
+		facts.btlLink, facts.btlShare = s.fillSorted(st.region, facts.affected)
 	} else {
 		st.repairOcc(s)
-		affected, filled = target, len(st.occSorted)
-		s.fillSorted(st.occSorted, target)
+		facts.affected, facts.filled = target, len(st.occSorted)
+		facts.btlLink, facts.btlShare = s.fillSorted(st.occSorted, target)
 	}
-
-	if s.probing {
-		s.dirtySize, s.affSize, s.fillSize = nDirty, affected, filled
-	}
-	if s.stats != nil {
-		s.stats.epochs.Inc()
-		s.stats.dirtyLinks.Add(int64(nDirty))
-		s.stats.affected.Add(int64(affected))
-		s.stats.filledLinks.Add(int64(filled))
-		if restricted {
-			s.stats.incFills.Inc()
-		} else {
-			s.stats.fullFills.Inc()
-		}
-	}
+	return facts
 }
 
 // fillSorted runs progressive filling over the given id-ascending links
@@ -344,8 +331,10 @@ func (s *sim) waterfillIncremental() {
 // entries are counting-sorted into (share, id) order and consumed as a
 // stream merged with the overflow heap of stale re-pushes; the popped
 // sequence and all arithmetic mirror the reference's pop loop exactly
-// (see the identity argument at the top of this file).
-func (s *sim) fillSorted(links []int32, target int) {
+// (see the identity argument at the top of this file). It returns the
+// first bottleneck frozen, the tightest of the fill, and its fair share
+// (-1, 0 when nothing froze).
+func (s *sim) fillSorted(links []int32, target int) (btlLink int32, btlShare float64) {
 	st := &s.inc
 	if s.pool != nil && len(links) >= parFillMin {
 		s.fillSetupParallel(links)
@@ -359,11 +348,7 @@ func (s *sim) fillSorted(links []int32, target int) {
 	members := st.members
 	frozen := 0
 	ai := 0
-	if s.probing {
-		// With a restricted fill this is the tightest bottleneck of the
-		// recomputed region, not necessarily of the whole network.
-		s.btlLink, s.btlShare = -1, 0
-	}
+	btlLink = -1
 	for frozen < target {
 		var share float64
 		var l int32
@@ -387,8 +372,8 @@ func (s *sim) fillSorted(links []int32, target int) {
 			ovf.push(cur, l)
 			continue
 		}
-		if s.probing && s.btlLink < 0 {
-			s.btlLink, s.btlShare = l, cur
+		if btlLink < 0 {
+			btlLink, btlShare = l, cur
 		}
 		for _, f := range members[l] {
 			if s.frozenAt[f] == s.epoch {
@@ -406,6 +391,7 @@ func (s *sim) fillSorted(links []int32, target int) {
 			}
 		}
 	}
+	return btlLink, btlShare
 }
 
 // fillSetupSerial resets residuals and counts and counting-sorts the

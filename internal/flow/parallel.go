@@ -3,7 +3,7 @@
 // One simulation can shard its hot paths over a par.Pool while staying
 // bit-identical to the serial engine — the differential tests in
 // parallel_test.go enforce identity against both the serial incremental
-// engine and the ExactRecompute oracle. Every parallel stage below is a
+// engine and the exact-recompute oracle. Every parallel stage below is a
 // fork-join barrier inside the otherwise serial event loop, built so
 // that its writes are partitioned deterministically and its merges are
 // performed in shard order:

@@ -101,7 +101,7 @@ func mustIdentical(t *testing.T, label string, got, want *flow.Result) {
 // matrix: all 11 paper workloads × 4 topology families under the
 // experiment presets, each with Workers ∈ {2, 3, 8}, compared bitwise
 // against both the serial incremental engine and the serial
-// ExactRecompute oracle.
+// exact-recompute oracle.
 func TestParallelMatchesSerialPaperWorkloads(t *testing.T) {
 	const n = 64
 	for _, f := range parFamilies {
@@ -110,6 +110,10 @@ func TestParallelMatchesSerialPaperWorkloads(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", f.kind, w), func(t *testing.T) {
 				t.Parallel()
 				run := func(workers int, exact bool) *flow.Result {
+					sim := flow.Options{RecordFlowEnds: true, Workers: workers}
+					if exact {
+						sim = flow.WithExactRecompute(sim)
+					}
 					res, err := core.Run(core.Config{
 						Kind:      f.kind,
 						Endpoints: n,
@@ -117,7 +121,7 @@ func TestParallelMatchesSerialPaperWorkloads(t *testing.T) {
 						U:         f.u,
 						Workload:  w,
 						Params:    workload.Params{Seed: 11},
-						Sim:       flow.Options{RecordFlowEnds: true, Workers: workers, ExactRecompute: exact},
+						Sim:       sim,
 					}, nil)
 					if err != nil {
 						t.Fatalf("workers=%d exact=%v: %v", workers, exact, err)
@@ -136,7 +140,7 @@ func TestParallelMatchesSerialPaperWorkloads(t *testing.T) {
 	}
 }
 
-// TestParallelExactEngine runs the reference ExactRecompute engine
+// TestParallelExactEngine runs the reference exact-recompute engine
 // itself with a pool: the batched membership replay is disabled there,
 // but route construction and the epoch scans still shard, and the
 // result must not move a bit.
@@ -154,7 +158,7 @@ func TestParallelExactEngine(t *testing.T) {
 					U:         f.u,
 					Workload:  workload.AllToAll,
 					Params:    workload.Params{Seed: 3},
-					Sim:       flow.Options{RecordFlowEnds: true, Workers: workers, ExactRecompute: true},
+					Sim:       flow.WithExactRecompute(flow.Options{RecordFlowEnds: true, Workers: workers}),
 				}, nil)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)

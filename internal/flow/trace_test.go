@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -77,5 +78,47 @@ func TestRefreshFractionEquivalence(t *testing.T) {
 	}
 	if lazy.Epochs >= exact.Epochs {
 		t.Fatalf("lazy refresh should reduce recomputations: %d vs %d", lazy.Epochs, exact.Epochs)
+	}
+}
+
+// failWriter fails every write after the first n bytes.
+type failWriter struct {
+	n       int
+	written int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if w.written+len(p) > w.n {
+		return 0, errDiskFull
+	}
+	w.written += len(p)
+	return len(p), nil
+}
+
+// TestTraceWriteErrorSurfaces: a failing trace writer must fail the
+// simulation instead of silently truncating the CSV.
+func TestTraceWriteErrorSurfaces(t *testing.T) {
+	tor := ring(t, 8)
+	spec := &Spec{}
+	prev := int32(-1)
+	for i := 0; i < 16; i++ {
+		if prev < 0 {
+			prev = spec.Add(0, 1, 1e6)
+		} else {
+			prev = spec.Add(i%8, (i+1)%8, 1e6, prev)
+		}
+	}
+	_, err := Simulate(tor, spec, Options{Trace: &failWriter{n: 40}})
+	if err == nil {
+		t.Fatal("Simulate succeeded despite trace write failure")
+	}
+	if !errors.Is(err, errDiskFull) {
+		t.Fatalf("error does not wrap the write failure: %v", err)
+	}
+	// A writer with room for everything still succeeds.
+	if _, err := Simulate(tor, spec, Options{Trace: &failWriter{n: 1 << 20}}); err != nil {
+		t.Fatalf("unexpected error with working writer: %v", err)
 	}
 }

@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
+	"os"
 	"runtime"
+	"sync"
 )
 
 // RunRecordSchema identifies the run-record document format. Bump the
@@ -102,6 +105,68 @@ func (r *RunRecord) MarshalLine() ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
+}
+
+// RecordSink streams run records as JSON lines (MarshalLine) to a file,
+// serialising concurrent writers. It keeps the first encode, write, flush
+// or close error, drops every record after it, and returns it from
+// Close, so a command whose records were lost can fail instead of
+// exiting 0. A nil *RecordSink discards records.
+type RecordSink struct {
+	mu  sync.Mutex
+	c   io.Closer
+	w   *bufio.Writer
+	err error
+}
+
+// CreateRecordSink creates (or truncates) the JSONL file at path. An
+// empty path returns a nil sink.
+func CreateRecordSink(path string) (*RecordSink, error) {
+	if path == "" {
+		return nil, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return newRecordSink(f), nil
+}
+
+func newRecordSink(wc io.WriteCloser) *RecordSink {
+	return &RecordSink{c: wc, w: bufio.NewWriter(wc)}
+}
+
+// Append writes one record as a line.
+func (s *RecordSink) Append(r *RunRecord) {
+	if s == nil {
+		return
+	}
+	line, err := r.MarshalLine()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return
+	}
+	if err == nil {
+		_, err = s.w.Write(line)
+	}
+	s.err = err
+}
+
+// Close flushes and closes the file and returns the sink's first error.
+func (s *RecordSink) Close() error {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.w.Flush(); s.err == nil {
+		s.err = err
+	}
+	if err := s.c.Close(); s.err == nil {
+		s.err = err
+	}
+	return s.err
 }
 
 // Fingerprint returns the canonical JSON form of the record with the

@@ -3,7 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -103,5 +107,115 @@ func TestMarshalLine(t *testing.T) {
 	}
 	if bytes.ContainsRune(line[:len(line)-1], '\n') {
 		t.Fatal("record spans multiple lines")
+	}
+}
+
+// sinkFile is a RecordSink destination that accepts limit bytes, then
+// fails every write; Close fails with closeErr.
+type sinkFile struct {
+	bytes.Buffer
+	limit    int
+	closeErr error
+}
+
+var errNoSpace = errors.New("no space left on device")
+
+func (f *sinkFile) Write(p []byte) (int, error) {
+	if f.Len()+len(p) > f.limit {
+		return 0, errNoSpace
+	}
+	return f.Buffer.Write(p)
+}
+
+func (f *sinkFile) Close() error { return f.closeErr }
+
+// TestRecordSinkErrors: every way of losing records — a write failing
+// mid-stream, only at the final flush, at close, or an unencodable
+// record — surfaces from Close, and records after the first failure
+// are dropped.
+func TestRecordSinkErrors(t *testing.T) {
+	line, err := sampleRecord().MarshalLine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	errClose := errors.New("close failed")
+	for _, c := range []struct {
+		name    string
+		file    *sinkFile
+		records int
+		bad     bool
+		want    error
+	}{
+		{"fits", &sinkFile{limit: 1 << 20}, 3, false, nil},
+		{"flush", &sinkFile{limit: 0}, 1, false, errNoSpace},
+		{"mid-stream", &sinkFile{limit: 4096}, 64, false, errNoSpace},
+		{"close", &sinkFile{limit: 1 << 20, closeErr: errClose}, 1, false, errClose},
+		{"encode", &sinkFile{limit: 1 << 20}, 2, true, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := newRecordSink(c.file)
+			for i := 0; i < c.records; i++ {
+				rec := sampleRecord()
+				if c.bad && i == 0 {
+					rec.Result = fakeResult{Makespan: math.NaN()}
+				}
+				s.Append(rec)
+			}
+			err := s.Close()
+			switch {
+			case c.bad:
+				if err == nil || !strings.Contains(err.Error(), "NaN") {
+					t.Fatalf("Close = %v, want the encode error", err)
+				}
+				if c.file.Len() != 0 {
+					t.Fatalf("%d bytes written after the encode error", c.file.Len())
+				}
+			case !errors.Is(err, c.want):
+				t.Fatalf("Close = %v, want %v", err, c.want)
+			case c.want == nil && c.file.Len() != c.records*len(line):
+				t.Fatalf("wrote %d bytes, want %d", c.file.Len(), c.records*len(line))
+			}
+		})
+	}
+}
+
+// TestRecordSinkConcurrent: cells append from many goroutines; every
+// line lands whole.
+func TestRecordSinkConcurrent(t *testing.T) {
+	f := &sinkFile{limit: 1 << 24}
+	s := newRecordSink(f)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s.Append(sampleRecord())
+			}
+		}()
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(f.String(), "\n"), "\n")
+	if len(lines) != 400 {
+		t.Fatalf("%d lines, want 400", len(lines))
+	}
+	for _, l := range lines {
+		if !json.Valid([]byte(l)) {
+			t.Fatalf("torn line %q", l)
+		}
+	}
+}
+
+func TestRecordSinkNil(t *testing.T) {
+	s, err := CreateRecordSink("")
+	if s != nil || err != nil {
+		t.Fatalf("CreateRecordSink(\"\") = %v, %v; want a nil sink", s, err)
+	}
+	s.Append(sampleRecord())
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

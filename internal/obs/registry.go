@@ -3,13 +3,10 @@
 // command-line binaries share to explain *why* a run behaved the way it
 // did, not just what number it produced.
 //
-// It has four parts:
+// It has three parts:
 //
 //   - a metrics Registry of named counters, gauges and histograms with
 //     fixed log-spaced buckets, exportable as JSON or CSV;
-//   - a Probe interface the flow engine calls at every rate-recomputation
-//     epoch, plus an EpochRecorder that turns those snapshots into a
-//     congestion time series;
 //   - a RunRecord, the self-describing JSON document every simulation can
 //     emit (full config, topology invariants, results, phase timings and
 //     environment) so experiments stay diffable across revisions;

@@ -25,13 +25,13 @@ import (
 
 func main() {
 	var (
-		n       = flag.Int("n", 8192, "total number of QFDBs (endpoints)")
-		samples = flag.Int("samples", 2_000_000, "sampled pairs for large systems")
-		seed    = flag.Int64("seed", 1, "sampling seed")
-		one     = flag.String("one", "", "analyse a single topology: torus|fattree|nesttree|nestghc")
-		tFlag   = flag.Int("t", 2, "subtorus nodes per dimension (hybrids)")
-		uFlag   = flag.Int("u", 4, "one uplink per u QFDBs (hybrids)")
-		workers = flag.Int("workers", 0, "worker threads for builds and distance measurement; exhaustive results are identical for every value, sampled estimates are a function of (seed, workers) (0 = NumCPU, 1 = serial)")
+		n        = flag.Int("n", 8192, "total number of QFDBs (endpoints)")
+		samples  = flag.Int("samples", 2_000_000, "sampled pairs for large systems")
+		seed     = flag.Int64("seed", 1, "sampling seed")
+		one      = flag.String("one", "", "analyse a single topology: torus|fattree|nesttree|nestghc")
+		tFlag    = flag.Int("t", 2, "subtorus nodes per dimension (hybrids)")
+		uFlag    = flag.Int("u", 4, "one uplink per u QFDBs (hybrids)")
+		workers  = flag.Int("workers", 0, "worker threads for builds and distance measurement; exhaustive results are identical for every value, sampled estimates are a function of (seed, workers) (0 = NumCPU, 1 = serial)")
 		csv      = flag.Bool("csv", false, "emit CSV")
 		obsAddr  = flag.String("obslisten", "", "serve /metrics, /progress and pprof on this address (e.g. :9090)")
 		material = flag.Bool("materialize", false, "force the materialised (stored-table) topology representation; measured values are identical to the default implicit one")

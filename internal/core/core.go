@@ -305,7 +305,11 @@ func RunContext(ctx context.Context, cfg Config, top topo.Topology) (*RunResult,
 		sim.RefreshFraction = 1.0 / 16
 	}
 	phases.WorkloadSeconds = time.Since(genStart).Seconds()
-	wlSpan.EndArgs(map[string]any{"flows": len(spec.Flows), "tasks": p.Tasks})
+	// The count is all that is needed of the unplaced spec from here on;
+	// taking it now lets the collector free that spec (2.2M flows at the
+	// paper's scale) while the engine runs on the placed copy.
+	nFlows := len(spec.Flows)
+	wlSpan.EndArgs(map[string]any{"flows": nFlows, "tasks": p.Tasks})
 	simStart := time.Now()
 	res, err := flow.SimulateContext(ctx, top, mapped, sim)
 	if err != nil {
@@ -324,7 +328,7 @@ func RunContext(ctx context.Context, cfg Config, top topo.Topology) (*RunResult,
 		Vertices:  top.NumVertices(),
 		Switches:  top.NumVertices() - top.NumEndpoints(),
 		Links:     top.NumLinks(),
-		Flows:     len(spec.Flows),
+		Flows:     nFlows,
 		Result:    res,
 		Phases:    phases,
 	}, nil

@@ -16,7 +16,6 @@
 package flow
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"io"
@@ -334,35 +333,56 @@ func (h *shareHeap) init() {
 	}
 }
 
-// pendHeap is a min-heap of (activation time, flow id) used by the latency
-// model.
-type pendHeap struct {
-	at []float64
-	id []int32
-}
-
-func (h *pendHeap) Len() int           { return len(h.id) }
-func (h *pendHeap) Less(i, j int) bool { return h.at[i] < h.at[j] }
-func (h *pendHeap) Swap(i, j int) {
-	h.at[i], h.at[j] = h.at[j], h.at[i]
-	h.id[i], h.id[j] = h.id[j], h.id[i]
-}
-func (h *pendHeap) Push(x any) {
-	p := x.(pendEntry)
-	h.at = append(h.at, p.at)
-	h.id = append(h.id, p.id)
-}
-func (h *pendHeap) Pop() any {
-	n := len(h.id) - 1
-	e := pendEntry{h.at[n], h.id[n]}
-	h.at = h.at[:n]
-	h.id = h.id[:n]
-	return e
-}
+// pendHeap is a binary min-heap of (activation time, flow id) used by the
+// latency model. It orders by time alone, so equal times pop in an order
+// set by the sift steps, and that order decides which flows activate
+// first — hence the completion order, the per-flow trace and the
+// summation order of link bytes. push and pop therefore follow
+// container/heap's sift steps exactly; the completion-order goldens in
+// testdata pin the result.
+type pendHeap []pendEntry
 
 type pendEntry struct {
 	at float64
 	id int32
+}
+
+// push adds an entry and sifts it up, as container/heap.Push.
+func (h *pendHeap) push(e pendEntry) {
+	*h = append(*h, e)
+	a := *h
+	for j := len(a) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(a[j].at < a[i].at) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		j = i
+	}
+}
+
+// pop removes the minimum entry: it swaps the root with the last entry
+// and sifts the new root down over the rest, as container/heap.Pop.
+func (h *pendHeap) pop() pendEntry {
+	a := *h
+	n := len(a) - 1
+	a[0], a[n] = a[n], a[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && a[j2].at < a[j].at {
+			j = j2
+		}
+		if !(a[j].at < a[i].at) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		i = j
+	}
+	*h = a[:n]
+	return a[n]
 }
 
 // sim is the mutable state of one simulation run.
@@ -625,11 +645,6 @@ func (s *sim) prepare(spec *Spec) error {
 		}
 	default:
 		scratch := make([]int32, 0, 256)
-		// Routing is deterministic per (src, dst), so repeated pairs — the
-		// common case in multi-phase collectives — share one arena-backed
-		// route slice. Sharing is safe: mid-run reroutes *reassign*
-		// routes[i], they never mutate the slice in place.
-		dedup := make(map[int64][]int32)
 		for i := range spec.Flows {
 			// Route construction dominates prepare on large systems; honour
 			// cancellation between batches so a canceled cell never has to
@@ -638,14 +653,6 @@ func (s *sim) prepare(spec *Spec) error {
 				return fmt.Errorf("flow: canceled while preparing routes (%d/%d flows): %w", i, f, s.ctx.Err())
 			}
 			fl := &spec.Flows[i]
-			key := int64(fl.Src)<<32 | int64(uint32(fl.Dst))
-			if r, ok := dedup[key]; ok {
-				if withLatency {
-					s.latency[i] = s.opt.LatencyBase + s.opt.LatencyPerHop*float64(s.routeHops(r))
-				}
-				s.routes[i] = r
-				continue
-			}
 			if s.ft != nil {
 				var ok bool
 				scratch, ok = s.ft.RouteAppendOK(scratch[:0], int(fl.Src), int(fl.Dst))
@@ -660,9 +667,7 @@ func (s *sim) prepare(spec *Spec) error {
 			if withLatency {
 				s.latency[i] = s.opt.LatencyBase + s.opt.LatencyPerHop*float64(len(scratch))
 			}
-			r := s.materialiseRoute(fl, scratch)
-			s.routes[i] = r
-			dedup[key] = r
+			s.routes[i] = s.materialiseRoute(fl, scratch)
 		}
 	}
 
@@ -702,15 +707,6 @@ func (s *sim) prepare(spec *Spec) error {
 	// queued until the next flushMembership (fills and fault events).
 	s.batching = s.pool != nil && !s.opt.exactRecompute
 	return nil
-}
-
-// routeHops recovers the network hop count of a materialised route (the
-// latency model counts fabric hops, not the virtual port links).
-func (s *sim) routeHops(r []int32) int {
-	if s.opt.DisablePorts {
-		return len(r)
-	}
-	return len(r) - 2
 }
 
 // materialiseRoute copies a network path into arena storage, wrapping it
@@ -982,7 +978,7 @@ func (s *sim) inject(id int32, now float64) {
 		// transfer never occupies a shared resource and completes the
 		// instant it is released.
 		if rel > now {
-			heap.Push(&s.pending, pendEntry{at: rel, id: id})
+			s.pending.push(pendEntry{at: rel, id: id})
 			return
 		}
 		s.ends[id] = now
@@ -999,7 +995,7 @@ func (s *sim) inject(id int32, now float64) {
 		at += s.latency[id]
 	}
 	if at > now {
-		heap.Push(&s.pending, pendEntry{at: at, id: id})
+		s.pending.push(pendEntry{at: at, id: id})
 		return
 	}
 	s.activate(id, now)
@@ -1026,8 +1022,8 @@ func (s *sim) trace(id int32, end float64) {
 // into the active set. Flows whose route died while they waited out
 // their latency are detoured (or lost) first.
 func (s *sim) activateDue(now float64) {
-	for s.pending.Len() > 0 && s.pending.at[0] <= now*(1+1e-15) {
-		e := heap.Pop(&s.pending).(pendEntry)
+	for len(s.pending) > 0 && s.pending[0].at <= now*(1+1e-15) {
+		e := s.pending.pop()
 		if s.flows[e.id].Bytes <= 0 || len(s.routes[e.id]) == 0 {
 			// A release-gated degenerate flow: it occupies no link, so it
 			// completes the moment its start time arrives. Its release may
@@ -1068,7 +1064,7 @@ func (s *sim) run() (*Result, error) {
 	var completed []int32
 	needRefresh := true
 	completedSince := 0
-	for len(s.active) > 0 || s.pending.Len() > 0 {
+	for len(s.active) > 0 || len(s.pending) > 0 {
 		if s.canceled() {
 			return nil, fmt.Errorf("flow: canceled at t=%g after %d epochs: %w", now, res.Epochs, s.ctx.Err())
 		}
@@ -1076,7 +1072,7 @@ func (s *sim) run() (*Result, error) {
 			// Nothing transmitting: jump to the next latency expiry (or
 			// the next fault event, whichever strikes first — a pending
 			// flow's route may need rerouting before it activates).
-			at := s.pending.at[0]
+			at := s.pending[0].at
 			if ft := s.nextFaultTime(); ft < at {
 				at = ft
 			}
@@ -1127,8 +1123,8 @@ func (s *sim) run() (*Result, error) {
 		}
 		// Never advance past the next latency expiry: a newly active flow
 		// changes the fair shares.
-		if s.pending.Len() > 0 {
-			if gap := s.pending.at[0] - now; gap < dt {
+		if len(s.pending) > 0 {
+			if gap := s.pending[0].at - now; gap < dt {
 				dt = gap
 				if dt < 0 {
 					dt = 0

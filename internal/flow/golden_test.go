@@ -6,6 +6,8 @@ import (
 	"encoding/csv"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,13 +25,14 @@ import (
 // goldenCell runs one of the observation-golden cells with a metrics
 // registry and a flight recorder attached: a pristine NestGHC
 // UnstructuredApp run recomputing every epoch, or an AllReduce on a
-// torus that loses nine links in two fault events.
-func goldenCell(t *testing.T, faults, exact bool) (*obs.Registry, *trace.Recorder) {
+// torus that loses nine links in two fault events. flowTrace, when
+// non-nil, receives the per-flow Options.Trace CSV.
+func goldenCell(t *testing.T, faults, exact bool, workers int, flowTrace io.Writer) (*obs.Registry, *trace.Recorder) {
 	t.Helper()
 	opt := flow.Options{
 		RelEpsilon: 0.01, RefreshFraction: 1.0 / 16,
 		LatencyBase: core.DefaultLatencyBase, LatencyPerHop: core.DefaultLatencyPerHop,
-		Workers: 1, Metrics: obs.NewRegistry(), Tracer: trace.NewRecorder(),
+		Workers: workers, Trace: flowTrace, Metrics: obs.NewRegistry(), Tracer: trace.NewRecorder(),
 	}
 	var top topo.Topology
 	var spec *flow.Spec
@@ -98,7 +101,7 @@ func TestEpochObservationGoldens(t *testing.T) {
 			if !ok {
 				t.Fatalf("no golden for %s", c.name)
 			}
-			reg, rec := goldenCell(t, c.faults, c.exact)
+			reg, rec := goldenCell(t, c.faults, c.exact, 1, nil)
 
 			var buf bytes.Buffer
 			if err := flow.WriteEpochCSV(&buf, rec); err != nil {
@@ -140,5 +143,35 @@ func TestEpochObservationGoldens(t *testing.T) {
 				t.Errorf("deterministic trace sha256 %x, golden %s", sum, want.TraceSHA256)
 			}
 		})
+	}
+}
+
+// TestCompletionOrderGoldens pins the order in which flows complete,
+// which the epoch goldens above do not: the per-flow Options.Trace CSV
+// is written in completion order, and linkBytes and HopBytes are summed
+// in it. Ties in the latency model's pending heap decide that order, so
+// the digests guard the heap's tie-breaking as well as the packed
+// membership replay that the sharded run (Workers: 2, every gate at 1
+// in this test binary) exercises. Under two workers only the CSV is
+// compared: the flow.shard.* counters differ there by design.
+func TestCompletionOrderGoldens(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "completion-order.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var goldens map[string]string
+	if err := json.Unmarshal(raw, &goldens); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"pristine", "faults"} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				var rows bytes.Buffer
+				goldenCell(t, name == "faults", false, workers, &rows)
+				if sum := sha256.Sum256(rows.Bytes()); hex.EncodeToString(sum[:]) != goldens[name] {
+					t.Errorf("completion-order CSV sha256 %x, golden %q", sum, goldens[name])
+				}
+			})
+		}
 	}
 }

@@ -12,10 +12,10 @@
 //     on completed/injected flows' routes plus everything reachable
 //     through shared links. Flows outside the component keep their
 //     frozen rates.
-//   - A full fill over a persistently maintained id-sorted list of
-//     occupied links. Used when the dirty component engulfs most of the
-//     active set (dense workloads mid-drain form one giant sharing
-//     component).
+//   - A full fill over every occupied link, listed in id order by one
+//     ascending scan of the per-link occupancy counts. Used when the
+//     dirty component engulfs most of the active set (dense workloads
+//     mid-drain form one giant sharing component).
 //
 // Both strategies feed fillSorted, which exploits that every link's
 // initial fair share is cap/nActive with a small integer count: the
@@ -75,23 +75,23 @@ const (
 	maxBFSPenalty     = 1024
 )
 
+// member is one active flow on a link: the flow id and the position of
+// the link in that flow's route, which locates the flow's slot entry.
+// Packing both into one record lets a join, leave or batch replay load
+// a single slice per (flow, link).
+type member struct {
+	f, i int32
+}
+
 // incState is the persistent link state of the incremental engine,
 // updated on every activate/deactivate instead of rebuilt per epoch.
 type incState struct {
-	nActive   []int32   // active flows per link
-	members   [][]int32 // active flow ids per link
-	memberIdx [][]int32 // parallel: position of the link in that flow's route
-	slots     [][]int32 // per flow: its index in members[l] for each route link l
+	nActive   []int32    // active flows per link
+	members   [][]member // active flows per link
+	slots     [][]int32  // per flow: its index in members[l] for each route link l
 	slotArena arena
 
-	// The occupied links (nActive > 0) in ascending id order, repaired
-	// by merging in the links whose occupancy changed since the last
-	// full fill. Long restricted-fill stretches defer the repair cost
-	// entirely.
-	occSorted  []int32
-	occScratch []int32
-	occDirty   []int32 // links whose occupancy flipped since the last repair
-	occDirtyOn []bool
+	occ []int32 // scratch: the occupied links (nActive > 0) of a full fill
 
 	dirty   []int32 // links whose membership changed since the last fill
 	dirtyOn []bool
@@ -107,7 +107,6 @@ type incState struct {
 	pcnt       [][]int32 // fill setup: per-shard count histograms
 	pcur       [][]int32 // fill setup: per-(shard, count) scatter cursors
 	pdirty     [][]int32 // batch replay: per-worker dirty marks
-	poccDirty  [][]int32 // batch replay: per-worker occupancy-flip marks
 	sortBuf    []int32   // sortIDs: merge double-buffer
 	sortBounds []int32   // sortIDs: run boundaries
 
@@ -123,10 +122,8 @@ type incState struct {
 
 func (st *incState) init(numLinks, numFlows int) {
 	st.nActive = make([]int32, numLinks)
-	st.members = make([][]int32, numLinks)
-	st.memberIdx = make([][]int32, numLinks)
+	st.members = make([][]member, numLinks)
 	st.slots = make([][]int32, numFlows)
-	st.occDirtyOn = make([]bool, numLinks)
 	st.dirtyOn = make([]bool, numLinks)
 	st.flowSeen = make([]int64, numFlows)
 	for i := range st.flowSeen {
@@ -137,20 +134,15 @@ func (st *incState) init(numLinks, numFlows int) {
 
 // join adds an activating flow to the membership of every link on its
 // route. Flows activate at most once, so the slot table is arena-backed.
-// Membership changes are O(1) per link — the occupied list is repaired
-// lazily by the next full fill.
+// Membership changes are O(1) per link.
 func (st *incState) join(s *sim, id int32) {
 	route := s.routes[id]
 	slots := st.slotArena.alloc(len(route))
 	st.slots[id] = slots
 	for i, l := range route {
 		slots[i] = int32(len(st.members[l]))
-		st.members[l] = append(st.members[l], id)
-		st.memberIdx[l] = append(st.memberIdx[l], int32(i))
+		st.members[l] = append(st.members[l], member{id, int32(i)})
 		st.nActive[l]++
-		if st.nActive[l] == 1 {
-			st.markOcc(l)
-		}
 		st.mark(l)
 	}
 }
@@ -163,75 +155,25 @@ func (st *incState) mark(l int32) {
 	}
 }
 
-// markOcc flags a link whose occupancy flipped for the next occupied-
-// list repair.
-func (st *incState) markOcc(l int32) {
-	if !st.occDirtyOn[l] {
-		st.occDirtyOn[l] = true
-		st.occDirty = append(st.occDirty, l)
-	}
-}
-
 // leave removes a completing flow from its links with swap-removes; the
-// displaced member's slot entry is patched via memberIdx.
+// displaced member's slot entry is patched through its route position.
 func (st *incState) leave(s *sim, id int32) {
 	route := s.routes[id]
 	slots := st.slots[id]
 	for i, l := range route {
 		k := slots[i]
-		mem, idx := st.members[l], st.memberIdx[l]
+		mem := st.members[l]
 		last := int32(len(mem) - 1)
 		if k != last {
-			m, mi := mem[last], idx[last]
-			mem[k], idx[k] = m, mi
-			st.slots[m][mi] = k
+			m := mem[last]
+			mem[k] = m
+			st.slots[m.f][m.i] = k
 		}
 		st.members[l] = mem[:last]
-		st.memberIdx[l] = idx[:last]
 		st.nActive[l]--
-		if st.nActive[l] == 0 {
-			st.markOcc(l)
-		}
 		st.mark(l)
 	}
 	st.slots[id] = nil
-}
-
-// repairOcc brings the id-sorted occupied list up to date with the
-// membership: one merge pass over the list and the (sorted) flipped
-// links, dropping the now-empty and inserting the newly occupied.
-func (st *incState) repairOcc(s *sim) {
-	if len(st.occDirty) == 0 {
-		return
-	}
-	s.sortIDs(st.occDirty)
-	out := st.occScratch[:0]
-	i, d := 0, 0
-	for i < len(st.occSorted) || d < len(st.occDirty) {
-		switch {
-		case d == len(st.occDirty):
-			out = append(out, st.occSorted[i])
-			i++
-		case i < len(st.occSorted) && st.occSorted[i] < st.occDirty[d]:
-			out = append(out, st.occSorted[i])
-			i++
-		default:
-			l := st.occDirty[d]
-			if st.nActive[l] > 0 {
-				out = append(out, l)
-			}
-			if i < len(st.occSorted) && st.occSorted[i] == l {
-				i++
-			}
-			d++
-		}
-	}
-	for _, l := range st.occDirty {
-		st.occDirtyOn[l] = false
-	}
-	st.occDirty = st.occDirty[:0]
-	st.occScratch = st.occSorted
-	st.occSorted = out
 }
 
 // closure grows the dirty connected component: every member flow of a
@@ -253,7 +195,8 @@ func (s *sim) closure(budget int) bool {
 			l := st.queue[len(st.queue)-1]
 			st.queue = st.queue[:len(st.queue)-1]
 			st.region = append(st.region, l)
-			for _, f := range st.members[l] {
+			for _, m := range st.members[l] {
+				f := m.f
 				if st.flowSeen[f] == s.epoch {
 					continue
 				}
@@ -318,9 +261,17 @@ func (s *sim) waterfillIncremental() fillFacts {
 		// not necessarily of the whole network.
 		facts.btlLink, facts.btlShare = s.fillSorted(st.region, facts.affected)
 	} else {
-		st.repairOcc(s)
-		facts.affected, facts.filled = target, len(st.occSorted)
-		facts.btlLink, facts.btlShare = s.fillSorted(st.occSorted, target)
+		// Every occupied link, id-ascending: one scan of the counts costs
+		// less than keeping a sorted list in step with the membership.
+		occ := st.occ[:0]
+		for l, c := range st.nActive {
+			if c > 0 {
+				occ = append(occ, int32(l))
+			}
+		}
+		st.occ = occ
+		facts.affected, facts.filled = target, len(occ)
+		facts.btlLink, facts.btlShare = s.fillSorted(occ, target)
 	}
 	return facts
 }
@@ -375,7 +326,8 @@ func (s *sim) fillSorted(links []int32, target int) (btlLink int32, btlShare flo
 		if btlLink < 0 {
 			btlLink, btlShare = l, cur
 		}
-		for _, f := range members[l] {
+		for _, m := range members[l] {
+			f := m.f
 			if s.frozenAt[f] == s.epoch {
 				continue
 			}

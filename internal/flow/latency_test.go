@@ -1,8 +1,11 @@
 package flow
 
 import (
+	"container/heap"
 	"math"
 	"testing"
+
+	"mtier/internal/xrand"
 )
 
 func TestLatencySingleFlow(t *testing.T) {
@@ -130,5 +133,67 @@ func TestLatencyDeterminism(t *testing.T) {
 	}
 	if a.Makespan != b.Makespan {
 		t.Fatal("latency model broke determinism")
+	}
+}
+
+// refPendHeap is the latency model's pending heap as container/heap
+// drives it: the reference the typed pendHeap must follow pop for pop.
+type refPendHeap []pendEntry
+
+func (h refPendHeap) Len() int           { return len(h) }
+func (h refPendHeap) Less(i, j int) bool { return h[i].at < h[j].at }
+func (h refPendHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refPendHeap) Push(x any)        { *h = append(*h, x.(pendEntry)) }
+func (h *refPendHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// TestPendHeapMatchesContainerHeap drives the typed pending heap and the
+// container/heap reference through the same random pushes and pops.
+// Activation times come from four values, so most pops break a tie, and
+// the pop order must be identical: ties decide which flows activate
+// first, and so the order flows complete in.
+func TestPendHeapMatchesContainerHeap(t *testing.T) {
+	times := []float64{0, 1e-6, 2e-6, 3.5e-6}
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := xrand.New(seed)
+		var got pendHeap
+		var ref refPendHeap
+		id := int32(0)
+		pops := 0
+		check := func() {
+			g, r := got.pop(), heap.Pop(&ref).(pendEntry)
+			if g != r {
+				t.Fatalf("seed %d, pop %d: typed heap popped %+v, container/heap %+v", seed, pops, g, r)
+			}
+			pops++
+		}
+		// Alternate growing and draining phases so pops meet heaps of
+		// every depth.
+		for phase := 0; phase < 8; phase++ {
+			pushPct := 70
+			if phase%2 == 1 {
+				pushPct = 30
+			}
+			for op := 0; op < 300; op++ {
+				if len(got) > 0 && rng.Intn(100) >= pushPct {
+					check()
+					continue
+				}
+				e := pendEntry{at: times[rng.Intn(len(times))], id: id}
+				id++
+				got.push(e)
+				heap.Push(&ref, e)
+			}
+		}
+		for len(ref) > 0 {
+			check()
+		}
+		if len(got) != 0 {
+			t.Fatalf("seed %d: typed heap holds %d entries after the reference drained", seed, len(got))
+		}
 	}
 }

@@ -12,15 +12,15 @@
 //     into contiguous shards, each worker routing its shard into a
 //     private path arena. routes[i] is an indexed write, so the DAG is
 //     assembled in flow-id order no matter which worker finishes first.
-//   - Waterfill fill setup (fillSetupParallel): the occupied-link list
-//     is cut into contiguous shards; workers compute per-shard
+//   - Waterfill fill setup (fillSetupParallel): the fill's id-ascending
+//     link list is cut into contiguous shards; workers compute per-shard
 //     residuals, counts and share histograms, and a serial merge
 //     derives per-(shard, count) scatter cursors that reproduce the
 //     serial counting sort's array byte for byte. The progressive
 //     filling pop loop then consumes an identical array, so the
 //     selected bottleneck sequence — and every rate — matches the
 //     serial result exactly.
-//   - Occupied-list and region sorts (sortIDs): per-shard sorts merged
+//   - Restricted-fill region sorts (sortIDs): per-shard sorts merged
 //     pairwise; sorting is canonical, so the result equals slices.Sort.
 //   - Active-set scans (minFinishParallel, advanceParallel): per-shard
 //     minima and completion buffers merged in shard order, equal to the
@@ -29,10 +29,10 @@
 //     queued as an op log and replayed in batch, each worker applying,
 //     in log order, exactly the links it owns (link id mod pool size).
 //     Per-link state therefore evolves in the serial engine's order —
-//     members/memberIdx/slots end up byte-identical — and the dirty and
-//     occupancy-flip marks, being flag-guarded sets, merge in worker
-//     order without affecting any downstream arithmetic (the closure
-//     outcome depends only on the set, and every fill input is sorted).
+//     the packed member records and the slots end up byte-identical —
+//     and the dirty marks, a flag-guarded set, merge in worker order
+//     without affecting any downstream arithmetic (the closure outcome
+//     depends only on the set, and every fill input is sorted).
 //
 // The float-level determinism argument for the fill phase is in
 // incremental.go (properties 1-4); DESIGN.md §12 walks through the
@@ -88,12 +88,6 @@ func (s *sim) prepareRoutesParallel(spec *Spec, withLatency bool) error {
 		defer sp.EndArgs(map[string]any{"shard": shard, "flows": hi - lo})
 		var local arena
 		scratch := make([]int32, 0, 256)
-		// Per-shard (src, dst) dedup: repeated pairs within a shard share
-		// one arena-backed route slice (reroutes reassign routes[i], never
-		// mutate it). Cross-shard repeats are routed again — shards share
-		// nothing — so the saving is smaller than the serial loop's, but
-		// the common collectives emit a phase's repeats contiguously.
-		dedup := make(map[int64][]int32)
 		for i := lo; i < hi; i++ {
 			// The serial loop honours cancellation every 4096 flows; each
 			// shard keeps the same cadence.
@@ -102,14 +96,6 @@ func (s *sim) prepareRoutesParallel(spec *Spec, withLatency bool) error {
 				return
 			}
 			fl := &spec.Flows[i]
-			key := int64(fl.Src)<<32 | int64(uint32(fl.Dst))
-			if r, ok := dedup[key]; ok {
-				if withLatency {
-					s.latency[i] = s.opt.LatencyBase + s.opt.LatencyPerHop*float64(s.routeHops(r))
-				}
-				s.routes[i] = r
-				continue
-			}
 			if s.ft != nil {
 				var ok bool
 				scratch, ok = s.ft.RouteAppendOK(scratch[:0], int(fl.Src), int(fl.Dst))
@@ -123,9 +109,7 @@ func (s *sim) prepareRoutesParallel(spec *Spec, withLatency bool) error {
 			if withLatency {
 				s.latency[i] = s.opt.LatencyBase + s.opt.LatencyPerHop*float64(len(scratch))
 			}
-			r := s.materialiseRouteIn(&local, fl, scratch)
-			s.routes[i] = r
-			dedup[key] = r
+			s.routes[i] = s.materialiseRouteIn(&local, fl, scratch)
 		}
 	})
 	if stop.Load() || s.canceled() {
@@ -179,11 +163,9 @@ func (s *sim) flushMembership() {
 	}
 	if len(st.pdirty) < w {
 		st.pdirty = append(st.pdirty, make([][]int32, w-len(st.pdirty))...)
-		st.poccDirty = append(st.poccDirty, make([][]int32, w-len(st.poccDirty))...)
 	}
 	s.pool.Run(func(wk int) {
 		dirtyBuf := st.pdirty[wk][:0]
-		occBuf := st.poccDirty[wk][:0]
 		uw := uint32(w)
 		for _, op := range ops {
 			id := op.id
@@ -195,13 +177,8 @@ func (s *sim) flushMembership() {
 						continue
 					}
 					slots[i] = int32(len(st.members[l]))
-					st.members[l] = append(st.members[l], id)
-					st.memberIdx[l] = append(st.memberIdx[l], int32(i))
+					st.members[l] = append(st.members[l], member{id, int32(i)})
 					st.nActive[l]++
-					if st.nActive[l] == 1 && !st.occDirtyOn[l] {
-						st.occDirtyOn[l] = true
-						occBuf = append(occBuf, l)
-					}
 					if !st.dirtyOn[l] {
 						st.dirtyOn[l] = true
 						dirtyBuf = append(dirtyBuf, l)
@@ -213,20 +190,15 @@ func (s *sim) flushMembership() {
 						continue
 					}
 					k := slots[i]
-					mem, idx := st.members[l], st.memberIdx[l]
+					mem := st.members[l]
 					last := int32(len(mem) - 1)
 					if k != last {
-						m, mi := mem[last], idx[last]
-						mem[k], idx[k] = m, mi
-						st.slots[m][mi] = k
+						m := mem[last]
+						mem[k] = m
+						st.slots[m.f][m.i] = k
 					}
 					st.members[l] = mem[:last]
-					st.memberIdx[l] = idx[:last]
 					st.nActive[l]--
-					if st.nActive[l] == 0 && !st.occDirtyOn[l] {
-						st.occDirtyOn[l] = true
-						occBuf = append(occBuf, l)
-					}
 					if !st.dirtyOn[l] {
 						st.dirtyOn[l] = true
 						dirtyBuf = append(dirtyBuf, l)
@@ -235,13 +207,11 @@ func (s *sim) flushMembership() {
 			}
 		}
 		st.pdirty[wk] = dirtyBuf
-		st.poccDirty[wk] = occBuf
 	})
-	// Merge the flag-guarded mark sets in worker order (each link appears
+	// Merge the flag-guarded mark set in worker order (each link appears
 	// in exactly one worker's buffer), and clear the left flows' slots.
 	for wk := 0; wk < w; wk++ {
 		st.dirty = append(st.dirty, st.pdirty[wk]...)
-		st.occDirty = append(st.occDirty, st.poccDirty[wk]...)
 	}
 	for _, op := range ops {
 		if !op.join {

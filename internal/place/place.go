@@ -85,20 +85,17 @@ func Mapping(p Policy, tasks, endpoints int, seed int64) ([]int32, error) {
 }
 
 // Apply rewrites a task-indexed spec into an endpoint-indexed spec using
-// the mapping. Dependency lists are shared with the input (they reference
-// flow ids, which do not change).
+// the mapping. Only the endpoints change: every other field, the release
+// time included, is copied, and dependency lists are shared with the
+// input (they reference flow ids, which do not change).
 func Apply(spec *flow.Spec, mapping []int32) (*flow.Spec, error) {
 	out := &flow.Spec{Flows: make([]flow.Flow, len(spec.Flows))}
 	for i, f := range spec.Flows {
 		if int(f.Src) >= len(mapping) || int(f.Dst) >= len(mapping) || f.Src < 0 || f.Dst < 0 {
 			return nil, fmt.Errorf("place: flow %d references task outside the mapping (%d -> %d)", i, f.Src, f.Dst)
 		}
-		out.Flows[i] = flow.Flow{
-			Src:   mapping[f.Src],
-			Dst:   mapping[f.Dst],
-			Bytes: f.Bytes,
-			Deps:  f.Deps,
-		}
+		f.Src, f.Dst = mapping[f.Src], mapping[f.Dst]
+		out.Flows[i] = f
 	}
 	return out, nil
 }

@@ -79,7 +79,7 @@ func TestMappingValidation(t *testing.T) {
 
 func TestApply(t *testing.T) {
 	spec := &flow.Spec{}
-	a := spec.Add(0, 1, 100)
+	a := spec.AddAt(0, 1, 100, 0.5)
 	spec.Add(1, 2, 200, a)
 	m := []int32{10, 20, 30}
 	out, err := Apply(spec, m)
@@ -91,6 +91,9 @@ func TestApply(t *testing.T) {
 	}
 	if out.Flows[1].Src != 20 || out.Flows[1].Dst != 30 {
 		t.Fatalf("flow 1 mapped to %d->%d", out.Flows[1].Src, out.Flows[1].Dst)
+	}
+	if out.Flows[0].Bytes != 100 || out.Flows[0].Start != 0.5 || out.Flows[1].Start != 0 {
+		t.Fatalf("sizes or release times lost in mapping: %+v", out.Flows)
 	}
 	if len(out.Flows[1].Deps) != 1 || out.Flows[1].Deps[0] != a {
 		t.Fatal("deps lost in mapping")

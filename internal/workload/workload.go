@@ -193,8 +193,14 @@ func genReduce(p Params) *flow.Spec {
 // genAllReduce models the optimised logarithmic collective (recursive
 // doubling): log2(T) rounds; in round r task i exchanges with i XOR 2^r.
 // A task's round-r send waits for its round-(r-1) receive.
+//
+// At the paper's scale that is 2.2M flows, so the flow list is sized up
+// front and every one-element dependency list is carved from one shared
+// backing array instead of allocated on its own.
 func genAllReduce(p Params) *flow.Spec {
-	s := &flow.Spec{}
+	n := allReduceFlows(p.Tasks)
+	s := &flow.Spec{Flows: make([]flow.Flow, 0, n)}
+	depArena := make([]int32, n)
 	lastRecv := make([]int32, p.Tasks)
 	for i := range lastRecv {
 		lastRecv[i] = -1
@@ -209,7 +215,11 @@ func genAllReduce(p Params) *flow.Spec {
 			}
 			var deps []int32
 			if lastRecv[i] >= 0 {
-				deps = append(deps, lastRecv[i])
+				// Full-slice: an append to one flow's Deps must reallocate,
+				// not overwrite its neighbour's.
+				k := len(s.Flows)
+				deps = depArena[k : k+1 : k+1]
+				deps[0] = lastRecv[i]
 			}
 			id := s.Add(i, partner, p.MsgBytes, deps...)
 			newRecv[partner] = id
@@ -217,6 +227,21 @@ func genAllReduce(p Params) *flow.Spec {
 		lastRecv = newRecv
 	}
 	return s
+}
+
+// allReduceFlows is genAllReduce's flow count for T tasks: in the round
+// of bit b, task i sends when i XOR b < T. Blocks of 2b consecutive
+// tasks pair up completely; in the trailing partial block of r tasks,
+// the r-b tasks above its midpoint pair with as many below it.
+func allReduceFlows(tasks int) int {
+	n := 0
+	for bit := 1; bit < tasks; bit <<= 1 {
+		n += tasks / (2 * bit) * (2 * bit)
+		if r := tasks % (2 * bit); r > bit {
+			n += 2 * (r - bit)
+		}
+	}
+	return n
 }
 
 // genMapReduce models scatter (root to all), shuffle (all-to-all, gated on

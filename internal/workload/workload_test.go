@@ -177,6 +177,30 @@ func TestAllReduceRoundsStructure(t *testing.T) {
 	}
 }
 
+// TestAllReduceAllocatesOnce checks the generator's allocation shape:
+// the flow list is sized exactly by the closed-form count (a wrong count
+// would leave spare capacity or grow the list), and the dependency lists
+// carved from one backing array stay independent of each other.
+func TestAllReduceAllocatesOnce(t *testing.T) {
+	for _, tasks := range []int{2, 3, 5, 6, 7, 8, 12, 13, 64, 100, 1000} {
+		s := gen(t, AllReduce, Params{Tasks: tasks})
+		if len(s.Flows) != cap(s.Flows) {
+			t.Errorf("tasks=%d: %d flows in a list of capacity %d", tasks, len(s.Flows), cap(s.Flows))
+		}
+		for i := 0; i+1 < len(s.Flows); i++ {
+			a, b := &s.Flows[i], &s.Flows[i+1]
+			if len(a.Deps) != 1 || len(b.Deps) != 1 {
+				continue
+			}
+			want := b.Deps[0]
+			a.Deps = append(a.Deps, -7)
+			if b.Deps[0] != want || len(b.Deps) != 1 {
+				t.Fatalf("tasks=%d: appending to flow %d's deps changed flow %d's to %v", tasks, i, i+1, b.Deps)
+			}
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	for _, k := range []Kind{UnstructuredApp, UnstructuredMgnt, UnstructuredHR, Bisection} {
 		a := gen(t, k, Params{Tasks: 50, Seed: 9})

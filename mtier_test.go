@@ -52,6 +52,21 @@ func TestFacadePlacement(t *testing.T) {
 	}
 }
 
+// TestFacadePlaceKeepsStart checks that placement keeps each flow's
+// release time: a flow released at 0.5 s still starts at 0.5 s once its
+// tasks are mapped onto endpoints.
+func TestFacadePlaceKeepsStart(t *testing.T) {
+	spec := &mtier.FlowSpec{}
+	spec.AddAt(0, 1, 1e6, 0.5)
+	placed, err := mtier.Place(spec, mtier.PlaceStrided, 2, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := placed.Flows[0]; f.Start != 0.5 || f.Src != 0 || f.Dst != 32 || f.Bytes != 1e6 {
+		t.Fatalf("placed flow %+v, want 0 -> 32, 1e6 bytes, Start 0.5", f)
+	}
+}
+
 func TestFacadeMetricsAndCost(t *testing.T) {
 	machine, err := mtier.Build(mtier.TopoSpec{Kind: mtier.Torus3D, Endpoints: 512})
 	if err != nil {
